@@ -19,7 +19,6 @@ from repro.data import build_benchmark, cifar100_like, create_scenario
 from repro.federated import (
     ClientUpdate,
     FedAvgServer,
-    ProcessRoundEngine,
     ShardedAggregator,
     TrainConfig,
     create_trainer,
@@ -173,22 +172,6 @@ def _process_round_work(seed: int) -> float:
 
 
 @pytest.fixture(scope="module")
-def process_engine():
-    engine = ProcessRoundEngine(max_workers=2)
-    yield engine
-    engine.close()
-
-
-def test_process_round_8_clients(benchmark, process_engine):
-    """An 8-item round dispatched through the process engine — times the
-    pickle/IPC overhead the GIL-free engine pays per round."""
-    results = benchmark(
-        lambda: process_engine.map(_process_round_work, range(8))
-    )
-    assert len(results) == 8
-
-
-@pytest.fixture(scope="module")
 def socket_engine():
     from repro.serve import SocketRoundEngine
 
@@ -198,27 +181,14 @@ def socket_engine():
     engine.close()
 
 
-def test_socket_round_8c(benchmark, socket_engine, process_engine):
-    """The same 8-item round over the serve subsystem's framed TCP
-    protocol.  Asserts the socket engine's acceptance bar — per-round
-    framing overhead within 1.5x of the process engine's tmpfs file IPC
-    (best-of-5 on each side)."""
-    process_engine.map(_process_round_work, range(8))  # warm both sides
-
-    def socket_round():
-        return socket_engine.map(_process_round_work, range(8))
-
-    def process_round():
-        return process_engine.map(_process_round_work, range(8))
-
-    socket_best = min(_seconds(socket_round) for _ in range(5))
-    process_best = min(_seconds(process_round) for _ in range(5))
-    results = benchmark(socket_round)
-    assert len(results) == 8
-    assert socket_best <= 1.5 * process_best, (
-        f"socket round {socket_best:.4f}s > 1.5x process round "
-        f"{process_best:.4f}s"
+def test_socket_round_8c(benchmark, socket_engine):
+    """An 8-item round over the serve subsystem's framed TCP protocol —
+    times the per-round framing and IPC overhead of the GIL-free engine
+    (the worker pool is warm; spawn is not timed)."""
+    results = benchmark(
+        lambda: socket_engine.map(_process_round_work, range(8))
     )
+    assert len(results) == 8
 
 
 @pytest.fixture(scope="module")

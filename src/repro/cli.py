@@ -103,9 +103,9 @@ def _add_run_arguments(run_p: argparse.ArgumentParser,
     run_p.add_argument("--tasks", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--engine", default="serial",
-                       help="round engine: 'serial', 'thread[:W]', "
-                            "'process[:W]' — W workers of concurrent client "
-                            "execution — 'batched[:B]' — B clients "
+                       help="round engine: 'serial', 'thread[:W]' — W "
+                            "threads of concurrent client execution — "
+                            "'batched[:B]' — B clients "
                             "stacked per captured-graph replay — or "
                             "'socket[:W]' — W socket-connected worker "
                             "processes with sticky client affinity "

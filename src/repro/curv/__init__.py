@@ -1,19 +1,16 @@
 """Curvature estimation over the captured loss graph.
 
-Second-order loss geometry for the FedKNOW reproduction: diagonal Fisher
-(empirical and Monte-Carlo), the exact Gauss-Newton/Fisher diagonal, and
-per-layer K-FAC Kronecker factors — all computed by replaying a
-:class:`~repro.nn.graph.GraphTape` capture of the masked cross-entropy
-loss, so estimation rides the same zero-dispatch path as batched training.
+Second-order loss geometry for the FedKNOW reproduction: the empirical
+diagonal Fisher, computed by replaying a :class:`~repro.nn.graph.GraphTape`
+capture of the masked cross-entropy loss, so estimation rides the same
+zero-dispatch path as batched training.
 
 The consumer-facing seam is :class:`SignatureSelector`: pluggable scoring
 of signature-task weights for the knowledge extractor (``magnitude`` /
 ``fisher`` / ``hybrid:<mix>``), selected per run via ``--selector``.
 """
 
-from .fisher import empirical_fisher_diagonal, mc_fisher_diagonal
-from .hessian import gauss_newton_diagonal
-from .kfac import KFACFactor, kfac_factors
+from .fisher import empirical_fisher_diagonal
 from .selector import (
     SELECTOR_SPECS,
     FisherSelector,
@@ -28,13 +25,9 @@ __all__ = [
     "SELECTOR_SPECS",
     "FisherSelector",
     "HybridSelector",
-    "KFACFactor",
     "LossTape",
     "MagnitudeSelector",
     "SignatureSelector",
     "create_selector",
     "empirical_fisher_diagonal",
-    "gauss_newton_diagonal",
-    "kfac_factors",
-    "mc_fisher_diagonal",
 ]

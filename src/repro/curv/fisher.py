@@ -1,15 +1,11 @@
-"""Diagonal Fisher information estimators.
+"""Diagonal Fisher information estimator over the masked cross-entropy loss.
 
-Two standard flavours over the masked cross-entropy loss:
+The **empirical** Fisher ``F_j = (1/N) sum_n (dL_n/dw_j)**2`` uses the
+dataset's true labels.  It is cheap, and the right quantity for importance
+scoring (optimal-brain-damage saliencies use exactly these squared
+gradients).
 
-* **empirical** — ``F_j = (1/N) sum_n (dL_n/dw_j)**2`` with the dataset's
-  true labels.  Cheap, and the right quantity for importance scoring
-  (optimal-brain-damage saliencies use exactly these squared gradients).
-* **Monte-Carlo** — labels sampled from the model's own masked predictive
-  softmax, giving an unbiased estimate of the true Fisher
-  ``E_{y~p(y|x)}[(d log p / dw)**2]``.
-
-Both replay a batch-1 :class:`~repro.curv.tape.LossTape` with the samples
+It replays a batch-1 :class:`~repro.curv.tape.LossTape` with the samples
 stacked along the batched client axis, so estimation costs roughly one
 batched training step per chunk.
 """
@@ -18,17 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..utils.rng import get_rng
 from .tape import LossTape
-
-
-def _masked_probs(model, x: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Predictive softmax restricted to the task's classes, rows sum to 1."""
-    logits = model.logits(x).astype(np.float64)
-    masked = np.where(mask, logits, -np.inf)
-    masked -= masked.max(axis=1, keepdims=True)
-    exp = np.exp(masked)
-    return exp / exp.sum(axis=1, keepdims=True)
 
 
 def empirical_fisher_diagonal(
@@ -52,37 +38,3 @@ def empirical_fisher_diagonal(
         tape = LossTape(model, x[:1], y[:1], class_mask)
     total = tape.squared_grad_sum(model, x, y, class_mask, chunk=chunk)
     return total / len(y)
-
-
-def mc_fisher_diagonal(
-    model,
-    x: np.ndarray,
-    class_mask: np.ndarray,
-    num_samples: int = 1,
-    rng: np.random.Generator | None = None,
-    chunk: int = 32,
-    tape: LossTape | None = None,
-) -> np.ndarray:
-    """Monte-Carlo Fisher diagonal: labels drawn from the model's softmax."""
-    x = np.asarray(x)
-    if len(x) == 0:
-        raise ValueError("cannot estimate Fisher information from 0 samples")
-    if num_samples < 1:
-        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
-    rng = get_rng(rng)
-    mask = np.asarray(class_mask, dtype=bool)
-    probs = _masked_probs(model, x, mask)
-    # inverse-CDF sampling; clip guards the float edge where the cumulative
-    # sum lands just short of 1.0 and u falls past it
-    last_active = int(np.flatnonzero(mask).max())
-    cumulative = np.cumsum(probs, axis=1)
-    if tape is None:
-        y_ex = np.zeros((1,), dtype=np.int64)
-        tape = LossTape(model, x[:1], y_ex, mask)
-    total = np.zeros(tape.dim, dtype=np.float64)
-    for _ in range(num_samples):
-        u = rng.random((len(x), 1))
-        labels = (cumulative < u).sum(axis=1)
-        labels = np.minimum(labels, last_active).astype(tape.label_dtype)
-        total += tape.squared_grad_sum(model, x, labels, mask, chunk=chunk)
-    return total / (len(x) * num_samples)

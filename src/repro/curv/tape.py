@@ -1,18 +1,14 @@
 """Loss-graph capture and per-sample gradient replay for curvature estimation.
 
-Curvature estimators need many gradients of the *same* loss graph at fixed
-weights — one per sample (diagonal Fisher), one per class (Gauss-Newton), or
-one tapped pass (K-FAC).  Re-paying dynamic autograd dispatch for each would
+The diagonal Fisher needs one gradient of the *same* loss graph per sample
+at fixed weights.  Re-paying dynamic autograd dispatch for each would
 dominate the estimate, so this module captures the masked cross-entropy loss
 once on a :class:`~repro.nn.graph.GraphTape` and replays it:
-
-* :meth:`LossTape.squared_grad_sum` stacks samples along the tape's batched
-  client axis (``replay_grad_batched`` with the live weights broadcast across
-  the batch — zero copies, the replay only reads), so per-sample gradients
-  ride the same zero-dispatch path as batched training.  Graphs containing
-  ops without a batched form (e.g. batch norm) fall back to serial replay.
-* K-FAC reads layer activations and pre-activation gradients through
-  :meth:`~repro.nn.graph.GraphTape.replay_grad_tapped`.
+:meth:`LossTape.squared_grad_sum` stacks samples along the tape's batched
+client axis (``replay_grad_batched`` with the live weights broadcast across
+the batch — zero copies, the replay only reads), so per-sample gradients
+ride the same zero-dispatch path as batched training.  Graphs containing
+ops without a batched form (e.g. batch norm) fall back to serial replay.
 
 The capture runs on a throwaway pickle-copy of the model in eval mode, so
 estimation never mutates the live model or its running buffers.  Replays read
@@ -36,7 +32,7 @@ class LossTape:
 
     ``x_example`` / ``y_example`` fix the capture's batch size: capture at
     batch 1 for per-sample replay (:meth:`squared_grad_sum` re-batches along
-    the client axis), or at the full batch for tapped K-FAC passes.
+    the client axis).
     """
 
     def __init__(

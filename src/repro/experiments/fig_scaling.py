@@ -5,12 +5,12 @@ measures the *systems* side of client scaling — wall-clock rounds/sec and
 peak RSS as the population grows — across the execution/aggregation grid
 the sharded population subsystem opens up:
 
-* round engines: ``serial`` (reference), ``thread``, ``process`` (GIL-free
-  worker processes with worker-rebuilt task data and shared-memory
-  global-state broadcast), ``batched`` (clients stacked along a leading
-  axis on a captured graph tape — one batched forward/backward per step),
-  ``socket`` (the serve subsystem's framed-TCP workers with sticky
-  client affinity — clients cross the wire once per task, not per round);
+* round engines: ``serial`` (reference), ``thread``, ``batched`` (clients
+  stacked along a leading axis on a captured graph tape — one batched
+  forward/backward per step), ``socket`` (GIL-free worker processes behind
+  the serve subsystem's framed TCP, with sticky client affinity — clients
+  cross the wire once per task, not per round — worker-rebuilt task data
+  and shared-memory global-state broadcast);
 * aggregation shards: 1 (the single streaming accumulator) vs K independent
   shard accumulators merged in fixed order.
 
@@ -24,8 +24,8 @@ setup + the aggregation rounds, no end-of-stage evaluation) on a fresh
 trainer.  ``peak_rss_mb`` is ``ru_maxrss`` of the process and its workers —
 a high-water mark, so within one invocation it only moves when a bigger
 configuration raises it; read it vs population, not between same-size rows.
-The report title records the host's CPU count: the process engine's win
-over serial is a multi-core effect (on a single-core host every process row
+The report title records the host's CPU count: the socket engine's win
+over serial is a multi-core effect (on a single-core host every socket row
 is serial execution plus IPC overhead, so serial necessarily stays ahead).
 """
 
@@ -48,7 +48,7 @@ from .reporting import format_table
 
 #: Populations per preset.  The paper-scale sweep covers the ROADMAP's
 #: 50 -> 10k growth target; bench keeps the >=256-client point where the
-#: process engine's win over serial must be measurable.
+#: socket engine's win over serial must be measurable.
 PRESET_POPULATIONS: dict[str, tuple[int, ...]] = {
     "unit": (8, 16),
     "bench": (64, 256),
@@ -256,7 +256,7 @@ def run_fig_scaling(
     preset: ScalePreset = BENCH,
     populations: tuple[int, ...] | None = None,
     engines: tuple[str, ...] = (
-        "serial", "thread", "process", "batched", "socket"
+        "serial", "thread", "batched", "socket"
     ),
     shard_counts: tuple[int, ...] = (1, 4, 16),
     method: str = "fedavg",

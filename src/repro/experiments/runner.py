@@ -118,12 +118,13 @@ def run_single(
 ) -> RunResult:
     """Train ``method`` on ``spec`` at ``preset`` scale and return its metrics.
 
-    ``engine`` selects the round engine ("serial", "thread[:W]" or
-    "process[:W]"); all produce identical training metrics, so it does not
-    participate in the result cache key.  ``shards`` > 1 partitions each
-    round's aggregation across that many streaming shard accumulators;
-    the final states stay bit-identical but per-shard accounting lands on
-    the round records, so shards *are* part of the cache key.
+    ``engine`` selects the round engine ("serial", "thread[:W]",
+    "batched[:B]" or "socket[:W]"); all produce identical training
+    metrics, so it does not participate in the result cache key.
+    ``shards`` > 1 partitions each round's aggregation across that many
+    streaming shard accumulators; the final states stay bit-identical but
+    per-shard accounting lands on the round records, so shards *are* part
+    of the cache key.
     ``participation`` selects who trains/reports each round ("full",
     "sampled:<fraction>", "deadline:<seconds>", "deadline:auto"); it
     changes the metrics, so it *is* part of the cache key.  ``None`` defers
@@ -189,8 +190,8 @@ def run_single(
     benchmark = scenario_obj.build(
         scaled, num_clients=preset.num_clients, rng=np.random.default_rng(seed)
     )
-    # the exact recipe that built ``benchmark`` — process engines ship it to
-    # workers so clients cross the boundary without their task arrays
+    # the exact recipe that built ``benchmark`` — the socket engine ships it
+    # to workers so clients cross the boundary without their task arrays
     data_factory = ClientDataFactory(
         scenario_obj, scaled, preset.num_clients, seed
     )

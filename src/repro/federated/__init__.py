@@ -6,7 +6,6 @@ from .config import TrainConfig
 from .engine import (
     ENGINES,
     BatchedRoundEngine,
-    ProcessRoundEngine,
     RoundEngine,
     SerialRoundEngine,
     StateHandle,
@@ -85,7 +84,6 @@ __all__ = [
     "PROCESS_UNSAFE_METHODS",
     "ParticipationPolicy",
     "PopulationSimulator",
-    "ProcessRoundEngine",
     "RoundContext",
     "RoundEngine",
     "RoundOutcome",

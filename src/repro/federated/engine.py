@@ -7,8 +7,6 @@ active clients.  Engines decide how that map executes:
 * :class:`SerialRoundEngine` — one client after another (the reference
   semantics);
 * :class:`ThreadedRoundEngine` — clients run concurrently on a thread pool;
-* :class:`ProcessRoundEngine` — clients run in worker processes, escaping
-  the GIL for the numpy-light parts of a round;
 * :class:`BatchedRoundEngine` — same-architecture clients are **stacked**:
   the training step is captured once as a static graph tape and replayed
   with B clients' weights and minibatches along a leading axis, one batched
@@ -22,40 +20,28 @@ float operations and their within-client order are unchanged (the batched
 engine's stacked contractions are bit-identical per slice), and outputs are
 reassembled in client order.  Only wall-clock time differs.
 
-Process engines add two contracts on top of the shared ``map`` one:
+Multi-process execution lives in :mod:`repro.serve.engine`
+(``socket[:W]``), which adds two contracts on top of the shared ``map`` one:
 
 * ``needs_pickling`` — phase callables and items must pickle, and item
   mutations only survive through return values (the trainer's phases return
   ``(result, client)`` pairs and the trainer adopts the returned clients);
-* workers are **rebuilt per task**: at each task boundary the pool is torn
-  down, and fresh workers rebuild client task data from a picklable data
-  factory (:class:`~repro.data.scenario.ClientDataFactory`) instead of
-  having every round ship the task arrays across the process boundary.
-  Global-state broadcasts go through shared memory: the encoded state is
-  written once to a tmpfs-backed file (``/dev/shm`` on Linux) and each
-  worker decodes it once per round, however many of its clients download.
-
-Known cost: each map chunk pickles its phase callable, which carries the
-round context (transport channels included).  Chunks cross the boundary
-with pickle protocol 5: weight arrays travel **out-of-band** — raw buffer
-bytes through a tmpfs-backed file, metadata through the pool's pipe — once
-a chunk's buffers reach :data:`OOB_MIN_BYTES` (tiny payloads stay in-band).
-Channel negotiation state
-must travel — warmup counters decide when delta/sparse uploads engage, so
-re-deriving channels worker-side would break bit-identity.  Under a
-``delta``/``sparse`` transport the channels' shared dense base is routed
-through a :class:`SharedStateHandle`: map chunks ship a file token, and
-each worker decodes the base once per broadcast instead of every chunk
-carrying its own copy.  Dense transports (the default) carry no base.
+* workers rebuild client task data from a picklable data factory
+  (:class:`~repro.data.scenario.ClientDataFactory`, see
+  :func:`worker_client_data`) instead of having every round ship the task
+  arrays across the process boundary.  Global-state broadcasts, and the
+  shared dense base of ``delta``/``sparse`` transport channels, go through
+  a :class:`SharedStateHandle`: the encoded state is written once to a
+  tmpfs-backed file (``/dev/shm`` on Linux) and each worker decodes it
+  once per broadcast, however many of its clients download.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 import tempfile
 import uuid
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Mapping, TypeVar
 
 import numpy as np
@@ -74,15 +60,15 @@ _BROADCAST_DECODES = _obs_metrics.METRICS.counter("broadcast.decodes")
 # ----------------------------------------------------------------------
 # worker-process registries
 # ----------------------------------------------------------------------
-# Module-level so pool initializers and phase callables resolve the same
-# objects inside every worker.  The parent process never populates these.
+# Module-level so the worker's session setup and phase callables resolve the
+# same objects inside every worker.  The parent process never populates these.
 _DATA_FACTORY = None
 _DATA_CACHE = None  # client_id -> ClientData, built lazily from the factory
 _STATE_CACHE: dict[str, dict] = {}  # broadcast token -> decoded global state
 
 
 def _init_worker(data_factory) -> None:
-    """Pool initializer: install the (picklable) client-data factory."""
+    """Worker setup: install the (picklable) client-data factory."""
     global _DATA_FACTORY, _DATA_CACHE, _STATE_CACHE
     _DATA_FACTORY = data_factory
     _DATA_CACHE = None
@@ -100,118 +86,14 @@ def worker_client_data(client_id: int):
     global _DATA_CACHE
     if _DATA_FACTORY is None:
         raise RuntimeError(
-            "no client-data factory installed in this process; process "
-            "engines strip client data only when the trainer has a "
+            "no client-data factory installed in this process; the socket "
+            "engine strips client data only when the trainer has a "
             "data_factory to rebuild it from"
         )
     if _DATA_CACHE is None:
         benchmark = _DATA_FACTORY()
         _DATA_CACHE = {data.client_id: data for data in benchmark.clients}
     return _DATA_CACHE[client_id]
-
-
-# ----------------------------------------------------------------------
-# out-of-band chunk serialization (pickle protocol 5)
-# ----------------------------------------------------------------------
-#: Below this many raw buffer bytes a chunk stays in-band: one pickle blob
-#: through the pool's own pipe, no file round-trip.  Tiny payloads (the
-#: benchmark gate's synthetic rounds, small models) keep their fast path.
-OOB_MIN_BYTES = 64 * 1024
-
-
-def _dumps_oob(obj, min_bytes: int = OOB_MIN_BYTES):
-    """Pickle ``obj``, routing large array buffers around the pickle stream.
-
-    Returns ``(meta, path, sizes)``: protocol-5 metadata bytes plus, when
-    the out-of-band buffers total at least ``min_bytes``, a tmpfs-backed
-    file holding the raw buffer bytes concatenated in pickle order
-    (``path is None`` and the buffers stay in-band otherwise).  Keeping
-    weight arrays out of the pickle stream skips pickle's framing/copy of
-    the bulk payload on both ends — the worker maps them straight out of
-    one contiguous read.
-    """
-    buffers: list[pickle.PickleBuffer] = []
-    meta = pickle.dumps(obj, protocol=5, buffer_callback=buffers.append)
-    views = [buffer.raw() for buffer in buffers]
-    if sum(view.nbytes for view in views) < min_bytes:
-        return pickle.dumps(obj, protocol=5), None, ()
-    shm_dir = "/dev/shm" if os.path.isdir("/dev/shm") else None
-    fd, path = tempfile.mkstemp(
-        prefix="repro-oob-", suffix=".buffers", dir=shm_dir
-    )
-    sizes = []
-    with os.fdopen(fd, "wb") as handle:
-        for view in views:
-            handle.write(view)
-            sizes.append(view.nbytes)
-    return meta, path, tuple(sizes)
-
-
-def _loads_oob(meta: bytes, path: str | None, sizes: tuple[int, ...]):
-    """Inverse of :func:`_dumps_oob`; consumes (unlinks) the buffer file.
-
-    Out-of-band buffers are rebuilt over one writable ``bytearray`` so the
-    reconstructed arrays are mutable (clients update weights in place);
-    arrays share that backing store, which is safe because each chunk is
-    consumed by exactly one side.
-    """
-    if path is None:
-        return pickle.loads(meta)
-    try:
-        with open(path, "rb") as handle:
-            raw = bytearray(handle.read())
-    finally:
-        try:
-            os.unlink(path)
-        except FileNotFoundError:
-            pass
-    view = memoryview(raw)
-    buffers = []
-    offset = 0
-    for size in sizes:
-        buffers.append(view[offset:offset + size])
-        offset += size
-    return pickle.loads(meta, buffers=buffers)
-
-
-#: Per-worker tracer, kept across chunks so span ids stay unique within
-#: the process (the counter survives) and reset when a new trace begins.
-_WORKER_TRACER: "_obs_trace.Tracer | None" = None
-
-
-def _worker_tracer(trace_id: str) -> "_obs_trace.Tracer":
-    global _WORKER_TRACER
-    if _WORKER_TRACER is None or _WORKER_TRACER.trace_id != trace_id:
-        _WORKER_TRACER = _obs_trace.Tracer(
-            trace_id=trace_id,
-            origin=f"w{os.getpid()}",
-            process=f"worker-{os.getpid()}",
-        )
-    return _WORKER_TRACER
-
-
-def _run_oob_chunk(meta: bytes, path: str | None, sizes: tuple[int, ...],
-                   ctx: tuple[str, str] | None = None):
-    """Worker-side chunk runner: decode, apply, re-encode out-of-band.
-
-    ``ctx`` is the coordinator's :class:`~repro.obs.trace.SpanContext`
-    when a telemetry session is live: the worker runs the chunk under a
-    local tracer adopted into that context and ships its spans plus a
-    metrics-registry delta back alongside the results, so remote child
-    spans stitch into the coordinator's trace.
-    """
-    fn, chunk = _loads_oob(meta, path, sizes)
-    if ctx is None:
-        return _dumps_oob(([fn(item) for item in chunk], None))
-    tracer = _worker_tracer(ctx[0])
-    tracer.adopt(ctx)
-    previous = _obs_trace.set_tracer(tracer)
-    try:
-        results = [fn(item) for item in chunk]
-    finally:
-        _obs_trace.set_tracer(previous)
-    telemetry = (tracer.drain(), _obs_metrics.METRICS.drain())
-    return _dumps_oob((results, telemetry))
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +188,7 @@ class RoundEngine:
         raise NotImplementedError
 
     def begin_task(self, position: int) -> None:
-        """Task-boundary hook (process engines rebuild their workers here)."""
+        """Task-boundary hook (the socket engine resets worker caches here)."""
 
     def share_state(self, state: Mapping[str, np.ndarray]) -> StateHandle:
         """Wrap a global state for broadcast to this engine's executors."""
@@ -371,125 +253,6 @@ class ThreadedRoundEngine(RoundEngine):
             self._executor = None
 
 
-class ProcessRoundEngine(RoundEngine):
-    """Clients of a round run in worker processes (GIL-free parallelism).
-
-    Phase callables and clients cross the boundary by pickle; the trainer
-    adopts the mutated clients shipped back in each phase's return value.
-    When a ``data_factory`` is installed, clients travel **without** their
-    task data — workers rebuild it locally (see :func:`worker_client_data`)
-    — and the pool is torn down at task boundaries so worker-side task
-    caches never outlive the stage that needed them.
-    """
-
-    name = "process"
-    needs_pickling = True
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        data_factory=None,
-        rebuild_workers_per_task: bool = True,
-    ):
-        self.max_workers = max_workers or os.cpu_count() or 1
-        if self.max_workers < 1:
-            raise ValueError(f"need at least one worker, got {max_workers}")
-        self.data_factory = data_factory
-        self.rebuild_workers_per_task = rebuild_workers_per_task
-        self._executor: ProcessPoolExecutor | None = None
-
-    def set_data_factory(self, data_factory) -> None:
-        """Install the worker-side client-data factory (pre-spawn only)."""
-        if self._executor is not None:
-            raise RuntimeError(
-                "cannot install a data factory after workers have spawned"
-            )
-        self.data_factory = data_factory
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_init_worker,
-                initargs=(self.data_factory,),
-            )
-        return self._executor
-
-    def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-        items = list(items)
-        if not items:
-            return []
-        # chunking amortizes the per-chunk pickle of ``fn`` (which carries
-        # the round context) over several clients; each chunk crosses the
-        # process boundary with its weight arrays out-of-band
-        # (see :func:`_dumps_oob`)
-        chunksize = max(1, len(items) // (self.max_workers * 4))
-        pool = self._pool()
-        ctx = _obs_trace.current_context()
-        futures = []
-        try:
-            for i in range(0, len(items), chunksize):
-                meta, path, sizes = _dumps_oob((fn, items[i:i + chunksize]))
-                futures.append(
-                    (pool.submit(_run_oob_chunk, meta, path, sizes, ctx),
-                     path)
-                )
-            results: list[R] = []
-            for future, _ in futures:
-                chunk_results, telemetry = _loads_oob(*future.result())
-                if telemetry is not None:
-                    _obs_trace.TRACER.absorb(telemetry[0])
-                    _obs_metrics.METRICS.merge(telemetry[1])
-                results.extend(chunk_results)
-            return results
-        except BaseException:
-            self._reap_chunks(futures)
-            raise
-
-    def _reap_chunks(self, futures) -> None:
-        """Unlink every tmpfs chunk file a failed round left behind.
-
-        A worker that dies mid-round (``BrokenProcessPool``) strands two
-        kinds of out-of-band files: request files of chunks never picked up
-        (or killed before :func:`_loads_oob` consumed them), and response
-        files of chunks that completed but were never collected.  Both
-        unlink idempotently — consumed files are already gone.  The broken
-        pool is dropped so the next round (if any) starts a fresh one.
-        """
-        for future, request_path in futures:
-            future.cancel()
-            if request_path is not None:
-                try:
-                    os.unlink(request_path)
-                except FileNotFoundError:
-                    pass
-            if future.done() and not future.cancelled():
-                try:
-                    _, response_path, _ = future.result()
-                except BaseException:
-                    continue
-                if response_path is not None:
-                    try:
-                        os.unlink(response_path)
-                    except FileNotFoundError:
-                        pass
-        self.close()
-
-    def begin_task(self, position: int) -> None:
-        # workers are rebuilt per task: fresh processes drop the finished
-        # stage's materialized task arrays and decoded broadcasts
-        if self.rebuild_workers_per_task:
-            self.close()
-
-    def share_state(self, state: Mapping[str, np.ndarray]) -> StateHandle:
-        return SharedStateHandle(state)
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-
 class BatchedRoundEngine(RoundEngine):
     """Same-architecture clients run stacked along a leading batch axis.
 
@@ -503,7 +266,7 @@ class BatchedRoundEngine(RoundEngine):
     serial execution, so the ``map`` contract is unchanged.
 
     Only ``batch_safe`` clients may run here — the trainer validates, like
-    it does ``process_safe`` for process engines.
+    it does ``process_safe`` for the socket engine.
     """
 
     name = "batched"
@@ -538,7 +301,6 @@ class BatchedRoundEngine(RoundEngine):
 ENGINES: dict[str, type[RoundEngine]] = {
     "serial": SerialRoundEngine,
     "thread": ThreadedRoundEngine,
-    "process": ProcessRoundEngine,
     "batched": BatchedRoundEngine,
 }
 
@@ -546,7 +308,7 @@ ENGINES: dict[str, type[RoundEngine]] = {
 #: shape — the "socket" engine lives in :mod:`repro.serve.engine` and is
 #: resolved lazily to keep the federated core import-light.
 ENGINE_SPECS: tuple[str, ...] = (
-    "serial", "thread[:W]", "process[:W]", "batched[:B]", "socket[:W]",
+    "serial", "thread[:W]", "batched[:B]", "socket[:W]",
 )
 
 
@@ -556,13 +318,13 @@ def create_engine(
     """Resolve an engine instance from a spec string, or pass one through.
 
     Specs read ``"<name>[:<arg>]"`` — ``"serial"``, ``"thread"``,
-    ``"thread:4"``, ``"process"``, ``"process:8"``, ``"batched"``,
-    ``"batched:64"``, ``"socket"``, ``"socket:4"``.  The argument is a
-    worker count for thread/process/socket engines and a per-chunk client
-    count for the batched engine (default: all of a round's participants in
-    one chunk).  ``max_workers`` is the fallback worker count when the spec
-    does not carry one; ``serial`` takes no argument.  Unknown or malformed
-    specs raise :class:`ValueError` with the full catalogue.
+    ``"thread:4"``, ``"batched"``, ``"batched:64"``, ``"socket"``,
+    ``"socket:4"``.  The argument is a worker count for thread/socket
+    engines and a per-chunk client count for the batched engine (default:
+    all of a round's participants in one chunk).  ``max_workers`` is the
+    fallback worker count when the spec does not carry one; ``serial``
+    takes no argument.  Unknown or malformed specs raise
+    :class:`ValueError` with the full catalogue.
     """
     if isinstance(engine, RoundEngine):
         return engine
@@ -591,9 +353,7 @@ def create_engine(
         return ThreadedRoundEngine(max_workers=workers)
     if name == "batched":
         return BatchedRoundEngine(batch_clients=workers)
-    if name == "socket":
-        # imported lazily: repro.serve depends on this module
-        from ..serve.engine import SocketRoundEngine
+    # imported lazily: repro.serve depends on this module
+    from ..serve.engine import SocketRoundEngine
 
-        return SocketRoundEngine(max_workers=workers)
-    return ProcessRoundEngine(max_workers=workers)
+    return SocketRoundEngine(max_workers=workers)

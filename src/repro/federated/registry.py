@@ -161,10 +161,11 @@ def create_trainer(
     """Build a :class:`FederatedTrainer` running ``method`` on ``benchmark``.
 
     ``engine`` accepts instance or spec (``"serial"``, ``"thread[:W]"``,
-    ``"process[:W]"``); ``shards`` > 1 partitions each round's aggregation
-    across that many streaming shard accumulators; ``data_factory`` is the
-    picklable :class:`~repro.data.scenario.ClientDataFactory` process
-    engines use to rebuild task data inside workers.  ``population``
+    ``"batched[:B]"``, ``"socket[:W]"``); ``shards`` > 1 partitions each
+    round's aggregation across that many streaming shard accumulators;
+    ``data_factory`` is the picklable
+    :class:`~repro.data.scenario.ClientDataFactory` the socket engine uses
+    to rebuild task data inside workers.  ``population``
     (a spec like ``"pareto:1.5,churn=300/600"`` or a
     :class:`~repro.edge.arrivals.PopulationModel`) switches to the
     event-driven :class:`~repro.federated.simulation.EventDrivenTrainer`,

@@ -22,10 +22,10 @@ policies:
   who downloads the new global state;
 * a :class:`~repro.federated.engine.RoundEngine` schedules the per-client
   work of a phase: the serial engine preserves the reference execution
-  order, while the threaded and process engines run the clients of a round
+  order, while the threaded and socket engines run the clients of a round
   concurrently with bit-identical results.  Phases are picklable callables
   that return ``(result, client)`` pairs: in-process engines hand back the
-  same (mutated) client object, process engines hand back the worker's
+  same (mutated) client object, the socket engine hands back the worker's
   mutated replica and the trainer adopts it;
 * a :class:`~repro.federated.transport.Transport` owns everything between
   ``prepare_upload`` and ``aggregate_updates``: per-client negotiated
@@ -45,7 +45,7 @@ global model untouched and is recorded as **skipped** — empty rounds never
 reach the aggregator (which rejects them with a :class:`ValueError`).
 
 The trainer is a context manager; it owns its engine and closes it on exit,
-so threaded and process engines cannot leak their pools.
+so threaded and socket engines cannot leak their pools or workers.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ class FederatedTrainer:
                 raise ValueError(
                     f"method(s) {unsafe} keep per-step strategy state or "
                     f"rewrite gradients and cannot run on the batched "
-                    f"engine; use 'serial', 'thread' or 'process'"
+                    f"engine; use 'serial', 'thread' or 'socket'"
                 )
         #: Live shared-base handles (delta/sparse transports on a process
         #: engine); retired once no channel references them any more.
@@ -619,7 +619,7 @@ class FederatedTrainer:
             # per receiving client; channel bookkeeping stays parent-side so
             # negotiated warmup/base state survives process rounds.  On a
             # process engine the snapshot is wrapped in a shared-memory
-            # handle so map chunks ship a file token instead of the dense
+            # handle so phase frames ship a file token instead of the dense
             # base — workers decode it once per broadcast.
             shared_base = self.transport.broadcast_base(global_state)
             if shared_base is not None and self.engine.needs_pickling:
@@ -772,7 +772,7 @@ class FederatedTrainer:
         first access, so lazily built scenario benchmarks only synthesize
         the arrays a stage actually reaches.
         """
-        started = time.time()
+        started = time.perf_counter()
         num_positions = num_positions or self.clients[0].data.num_tasks
         rounds: list[RoundRecord] = []
         stage_evals: list[list[list[float]]] = []
@@ -798,7 +798,7 @@ class FederatedTrainer:
             num_tasks=num_positions,
             accuracy_matrix=matrix,
             rounds=rounds,
-            wall_seconds=time.time() - started,
+            wall_seconds=time.perf_counter() - started,
             participation=self.policy.describe(),
             transport=self.transport.describe(),
             scenario=self.scenario,

@@ -454,8 +454,7 @@ class GraphTape:
         self._forward(values)
         return values[self.output_slot]
 
-    def _backward(self, values, ctxs, seed, batched_mask=None, taps=None,
-                  tap_grads=None):
+    def _backward(self, values, ctxs, seed, batched_mask=None):
         out_value = values[self.output_slot]
         if seed is None:
             seed = np.ones_like(out_value)
@@ -468,10 +467,6 @@ class GraphTape:
         for i in range(len(self.nodes) - 1, -1, -1):
             node = self.nodes[i]
             g = grads.pop(node.out_slot, None)
-            if taps is not None and node.out_slot in taps and g is not None:
-                # the popped gradient is fully accumulated here (all consumers
-                # sit later in the node list, so they were already processed)
-                tap_grads[node.out_slot] = g
             if g is None or not any(node.grad_mask):
                 continue
             if batched_mask is None or not batched_mask[node.out_slot]:
@@ -523,50 +518,6 @@ class GraphTape:
         return values[self.output_slot], [
             grads.get(ps.slot) for ps in self.param_slots
         ]
-
-    def replay_grad_tapped(
-        self,
-        inputs: Mapping[str, np.ndarray],
-        params=None,
-        seed: np.ndarray | None = None,
-        taps: Sequence[int] = (),
-    ) -> tuple[np.ndarray, list[np.ndarray | None],
-               dict[int, np.ndarray], dict[int, np.ndarray]]:
-        """Forward + backward replay that also surfaces tapped slots.
-
-        ``taps`` names slot ids whose forward value and backward gradient
-        the caller wants alongside the parameter gradients (curvature
-        estimators read layer activations and pre-activation gradients this
-        way).  Returns ``(output, param_grads, tap_values, tap_grads)``;
-        a tapped slot is absent from ``tap_grads`` when no gradient reached
-        it.  Tapping does not perturb the replayed arithmetic.
-        """
-        return self._traced(
-            "tapped",
-            lambda: self._replay_grad_tapped(inputs, params, seed, taps),
-        )
-
-    def _replay_grad_tapped(self, inputs, params, seed, taps):
-        self._check_finalized()
-        tap_set = set(taps)
-        param_arrays = self._param_arrays(params)
-        values = self._fill_values(inputs, param_arrays, None)
-        ctxs = self._forward(values)
-        tap_grads: dict[int, np.ndarray] = {}
-        grads = self._backward(values, ctxs, seed, taps=tap_set,
-                               tap_grads=tap_grads)
-        # leaf slots (params/inputs) are never popped by a node; read their
-        # fully-accumulated gradients from the residual dict
-        for slot in tap_set:
-            if slot not in tap_grads and slot in grads:
-                tap_grads[slot] = grads[slot]
-        tap_values = {slot: values[slot] for slot in tap_set}
-        return (
-            values[self.output_slot],
-            [grads.get(ps.slot) for ps in self.param_slots],
-            tap_values,
-            tap_grads,
-        )
 
     # ------------------------------------------------------------------
     # batched replay

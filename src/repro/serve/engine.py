@@ -32,7 +32,7 @@ reassigned to surviving workers from the parent's last-synced replicas; a
 fresh broadcast re-synchronizes their weights on the next round.
 
 Results are bit-identical to the serial engine for the same reason the
-process engine's are: clients are independent within a round, the per-client
+thread engine's are: clients are independent within a round, the per-client
 float operations are unchanged, and outputs are reassembled in item order.
 """
 
@@ -82,8 +82,7 @@ class ServeStateHandle(SharedStateHandle):
     Parent-side it is a plain :class:`SharedStateHandle` (dict passthrough
     plus the tmpfs file for local workers).  Worker-side, remote workers
     find the state in their framed-broadcast store by token; local workers
-    fall back to reading the shared-memory file exactly like process-pool
-    workers do.
+    fall back to reading the shared-memory file.
     """
 
     def resolve(self) -> Mapping[str, np.ndarray]:

@@ -10,8 +10,7 @@ the connection drops:
   once, is cached by id, and every later round's dispatch ships a tiny
   :class:`ClientRef` stub instead — momentum buffers, RNG state and method
   state stay put.  Task data is rebuilt locally from the WELCOME's pickled
-  data factory (the same :func:`repro.federated.engine.worker_client_data`
-  path process-pool workers use).
+  data factory (through :func:`repro.federated.engine.worker_client_data`).
 * **STATE** — a framed global-state broadcast for remote workers; local
   workers read the tmpfs file instead and never receive this frame.
 * **PARTIAL** — accumulate segment partial sums over the client updates

